@@ -6,8 +6,10 @@ import (
 	"encoding/json"
 	"io"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -511,5 +513,31 @@ func TestCoordinatorRequestIDForwarded(t *testing.T) {
 	}
 	if got.RequestID != "fleet-trace-7" {
 		t.Fatalf("body rid = %q, want fleet-trace-7", got.RequestID)
+	}
+}
+
+// A health probe must hand its connection back to the idle pool. A body
+// closed unread closes its connection, so every sweep would re-dial every
+// worker and leave the scatter path to replace the connections.
+func TestHealthProbesReuseConnections(t *testing.T) {
+	var conns atomic.Int64
+	w := httptest.NewUnstartedServer(server.New(workerConfig()).Handler())
+	w.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	w.Start()
+	t.Cleanup(w.Close)
+	coord, err := New(Config{Workers: []string{w.URL}, HealthInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(coord.Close)
+	for i := 0; i < 5; i++ {
+		coord.ProbeNow(context.Background())
+	}
+	if n := conns.Load(); n != 1 {
+		t.Fatalf("5 probe sweeps opened %d connections to the worker, want 1", n)
 	}
 }

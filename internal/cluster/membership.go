@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -120,7 +121,7 @@ func (c *Coordinator) probeOnce(ctx context.Context) {
 				m.setState(stateDown, c.cfg.Logf)
 				return
 			}
-			resp.Body.Close()
+			drainClose(resp)
 			switch resp.StatusCode {
 			case http.StatusOK:
 				m.setState(stateUp, c.cfg.Logf)
@@ -132,6 +133,15 @@ func (c *Coordinator) probeOnce(ctx context.Context) {
 		}(m)
 	}
 	wg.Wait()
+}
+
+// drainClose reads what is left of a small response body (up to 4 KB) and
+// closes it. A body closed unread takes its connection down with it, so a
+// probe sweep every HealthInterval would otherwise re-dial one connection
+// per worker that the scatter path then has to replace.
+func drainClose(resp *http.Response) {
+	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
+	resp.Body.Close()
 }
 
 // ProbeNow runs one synchronous health sweep (tests and startup use it to

@@ -131,7 +131,11 @@ func (c *Coordinator) hedgeDelay(primary *member) time.Duration {
 // rebalance published mid-shard changes the next shard's placement, never
 // this one's candidate list (hedging stays coherent).
 func (c *Coordinator) doShard(ctx context.Context, t *topology, key, path string, body []byte, rid string) shardResult {
-	cands := t.candidates(key)
+	return c.doShardOn(ctx, t.candidates(key), key, path, body, rid)
+}
+
+// doShardOn is doShard over an explicit candidate order (first = primary).
+func (c *Coordinator) doShardOn(ctx context.Context, cands []*member, key, path string, body []byte, rid string) shardResult {
 	if len(cands) == 0 {
 		// A snapshot published while the last active worker drains out has
 		// an empty ring; a request holding it must fail cleanly, not index

@@ -31,9 +31,11 @@ import (
 // Scores call (one generation's feasible candidates) takes one topology
 // snapshot, splits the candidates into one contiguous chunk per active
 // worker, and posts each chunk to /v1/batch through the hedged scatter
-// path. Chunk keys are distinct per (search, generation, chunk) so the ring
-// spreads a generation across the fleet instead of collapsing it onto the
-// one worker that owns the instance's scenario class.
+// path. Each chunk's primary is a different active worker, so a generation
+// spreads evenly across the fleet instead of collapsing onto the one worker
+// that owns the instance's scenario class, or doubling up where chunk keys
+// happen to hash to the same worker. Chunk keys are distinct per (search,
+// generation, chunk) and order each chunk's retry and hedge targets.
 type searchEvaluator struct {
 	c     *Coordinator
 	m     *etc.Matrix
@@ -109,7 +111,10 @@ func (e *searchEvaluator) scoreChunk(ctx context.Context, t *topology, gen, ci i
 		return err
 	}
 	key := "search/" + e.id + "/g" + strconv.Itoa(gen) + "/c" + strconv.Itoa(ci)
-	res := e.c.doShard(ctx, t, key, "/v1/batch", body, e.rid)
+	// Chunk ci goes to active worker gen+ci, so a generation's chunks land
+	// on distinct workers; the offset rotates the (possibly larger) first
+	// chunk around the fleet.
+	res := e.c.doShardOn(ctx, t.candidatesAt(gen+ci, key), key, "/v1/batch", body, e.rid)
 	if res.err != nil {
 		f := relayFailure{err: res.err}
 		_, er := f.errorResponse(e.rid)

@@ -69,8 +69,24 @@ func (c *Coordinator) topology() *topology {
 // order anyway — health state may be stale, and trying beats failing
 // without a request.
 func (t *topology) candidates(key string) []*member {
+	return t.candidatesFrom(t.ring.primary(key), key)
+}
+
+// candidatesAt is candidates with the primary set to active worker i (mod
+// the active count) instead of the ring's choice. A request split into one
+// chunk per active worker places chunk i on worker i, so no worker gets two
+// chunks of it while another has none; the retry and hedge order after the
+// primary is still key's rendezvous order.
+func (t *topology) candidatesAt(i int, key string) []*member {
+	if len(t.active) == 0 {
+		return t.candidates(key)
+	}
+	return t.candidatesFrom(t.active[i%len(t.active)], key)
+}
+
+// candidatesFrom orders the up active workers for key behind prim.
+func (t *topology) candidatesFrom(prim *member, key string) []*member {
 	out := make([]*member, 0, len(t.active))
-	prim := t.ring.primary(key)
 	if prim != nil && prim.up() {
 		out = append(out, prim)
 	}
@@ -116,9 +132,11 @@ func (c *Coordinator) probeReady(ctx context.Context, url string) error {
 			return fmt.Errorf("cluster: probing %s: %w", url, err)
 		}
 		resp, err := c.client.Do(req)
+		if err == nil {
+			drainClose(resp)
+		}
 		cancel()
 		if err == nil {
-			resp.Body.Close()
 			if resp.StatusCode == http.StatusOK {
 				return nil
 			}

@@ -24,11 +24,12 @@ import (
 // Structure: the cache is split into power-of-two many shards selected by a
 // hash of the quantized key, and each shard keeps three generations of
 // entries — a mutex-guarded "hot" write map plus two frozen generations
-// published through an atomic pointer. Reads probe the frozen generations
-// without taking any lock (immutable maps are safe for concurrent readers),
-// so at high QPS the common warm-cache hit costs two map probes and zero
-// mutex operations; only writes and cold hits touch the shard mutex, and
-// contention on it is divided by the shard count. When a shard's hot map
+// published through an atomic pointer. A shard's hot map is created by its
+// first store, so an unused cache costs the shard array alone. Reads probe
+// the frozen generations without taking any lock (immutable maps are safe
+// for concurrent readers), so at high QPS the common warm-cache hit costs
+// two map probes and zero mutex operations; only writes and cold hits touch
+// the shard mutex, and contention on it is divided by the shard count. When a shard's hot map
 // reaches a third of the shard's capacity it is frozen: hot becomes
 // generation 1, generation 1 becomes generation 2, and the old generation 2
 // is dropped (its entries counted as evictions). The scheme approximates
@@ -174,9 +175,11 @@ func newImpactCache(opt CacheOptions) *impactCache {
 		genCap: genCap,
 		scales: make(map[scalesKey]scalesVal),
 	}
+	// Hot maps are created by a shard's first put, so a cache that never
+	// stores — every closed-form-only analysis — costs the shard array and
+	// one shared empty generation pair, whatever its capacity.
 	empty := &frozenGens{}
 	for i := range c.shards {
-		c.shards[i].hot = make(map[string]float64, genCap)
 		c.shards[i].frozen.Store(empty)
 	}
 	return c
@@ -266,6 +269,11 @@ func (c *impactCache) put(key []byte, v float64) {
 	}
 	s := c.shardOf(key)
 	s.mu.Lock()
+	if s.hot == nil {
+		// First store into this shard. Unsized: a shard that has not yet
+		// filled a generation gives no sign it ever will.
+		s.hot = make(map[string]float64)
+	}
 	if _, ok := s.hot[string(key)]; ok {
 		s.hot[string(key)] = v
 		s.mu.Unlock()
@@ -280,6 +288,8 @@ func (c *impactCache) put(key []byte, v float64) {
 		fg := s.frozen.Load()
 		s.frozen.Store(&frozenGens{g1: s.hot, g2: fg.g1})
 		s.evictions.Add(uint64(len(fg.g2)))
+		// This shard has filled a generation, so presizing its successor
+		// avoids rehashing while it fills again.
 		s.hot = make(map[string]float64, c.genCap)
 	}
 	s.mu.Unlock()
@@ -350,8 +360,13 @@ func (c *impactCache) forEachValue(fn func(float64)) {
 // loops re-checking robustness as estimates drift, RobustnessBatch over
 // many weightings, Tolerable/Certifier traffic — and the impact function is
 // expensive (DES-backed, queueing models, anything beyond a few arithmetic
-// ops). For one-shot analyses of cheap linear impacts the lookup overhead
+// ops). For one-shot numeric searches of cheap impacts the lookup overhead
 // exceeds the evaluation cost; see docs/performance.md for measurements.
+//
+// Attaching a cache to an analysis whose features are all closed-form
+// (linear or quadratic) is free: attaching allocates only the shard array,
+// whatever the capacity, and a shard's map is created by its first store,
+// which the closed-form tiers never make.
 //
 // The cache assumes the analysis is frozen: mutating Features, Params, or a
 // weighting's underlying data after enabling invalidates cached values

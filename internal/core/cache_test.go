@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -554,5 +555,122 @@ func TestCacheShardStatsAggregate(t *testing.T) {
 	a.DisableImpactCache()
 	if a.CacheShardStats() != nil {
 		t.Fatal("disabled cache reported shard stats")
+	}
+}
+
+// allocBytesPerRun reports the heap bytes f allocates per call, the least
+// of three measurements so that a stray allocation elsewhere in the test
+// binary cannot inflate it.
+func allocBytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	best := uint64(math.MaxUint64)
+	for trial := 0; trial < 3; trial++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		if b := (after.TotalAlloc - before.TotalAlloc) / uint64(runs); b < best {
+			best = b
+		}
+	}
+	return best
+}
+
+// Attaching a cache allocates the shard array and nothing per entry of
+// capacity: hot maps are created on a shard's first store. A closed-form
+// analysis, which never stores, pays the same few KB whatever the
+// capacity.
+func TestEnableImpactCacheCostIndependentOfCapacity(t *testing.T) {
+	a := prodAnalysis(t, 2, 4)
+	var sizes []uint64
+	for _, capacity := range []int{1 << 10, 1 << 16, 1 << 20} {
+		b := allocBytesPerRun(50, func() {
+			a.EnableImpactCacheWith(CacheOptions{Capacity: capacity, Shards: 64})
+		})
+		sizes = append(sizes, b)
+	}
+	t.Logf("bytes per attach: %v", sizes)
+	for i, b := range sizes {
+		if b != sizes[0] {
+			t.Errorf("bytes per attach vary with capacity: %v (capacities 1<<10, 1<<16, 1<<20)", sizes)
+			break
+		}
+		if b > 8<<10 {
+			t.Errorf("attach #%d allocates %d B, want at most 8 KB", i, b)
+		}
+	}
+}
+
+// presize gives every shard a hot map of genCap entries up front: the
+// eager reference the lazy cache must match.
+func presize(c *impactCache) {
+	for i := range c.shards {
+		c.shards[i].hot = make(map[string]float64, c.genCap)
+	}
+}
+
+// The lazy hot map changes no observable behaviour: a lookup before the
+// first store creates nothing, the first store creates the shard's map, and
+// through many rotations the lazy cache reports the same aggregate and
+// per-shard counters, and the same radii bit for bit, as a presized one.
+func TestLazyHotMapsMatchPresizedCache(t *testing.T) {
+	opt := CacheOptions{Capacity: 96, Shards: 2}
+	lazy, eager := prodAnalysis(t, 3, 4), prodAnalysis(t, 3, 4)
+	lazy.EnableImpactCacheWith(opt)
+	eager.EnableImpactCacheWith(opt)
+	presize(eager.cache)
+
+	key := binary.LittleEndian.AppendUint64(nil, 42)
+	if _, ok := lazy.cache.get(key); ok {
+		t.Fatal("empty cache hit")
+	}
+	eager.cache.get(key)
+	for i := range lazy.cache.shards {
+		if lazy.cache.shards[i].hot != nil {
+			t.Fatalf("shard %d has a hot map before its first store", i)
+		}
+	}
+	same := func(when string) {
+		t.Helper()
+		if l, e := lazy.CacheStats(), eager.CacheStats(); l != e {
+			t.Fatalf("%s: lazy stats %+v, presized %+v", when, l, e)
+		}
+		l, e := lazy.CacheShardStats(), eager.CacheShardStats()
+		for i := range l {
+			if l[i] != e[i] {
+				t.Fatalf("%s: shard %d lazy %+v, presized %+v", when, i, l[i], e[i])
+			}
+		}
+	}
+	same("before the first store")
+
+	lazy.cache.put(key, 1)
+	eager.cache.put(key, 1)
+	s := lazy.cache.shardOf(key)
+	if s.hot == nil || len(s.hot) != 1 {
+		t.Fatalf("first store left the shard's hot map %v", s.hot)
+	}
+	same("after the first store")
+
+	for run := 0; run < 3; run++ {
+		rl, errL := lazy.CombinedRadius(0, Normalized{})
+		re, errE := eager.CombinedRadius(0, Normalized{})
+		if errL != nil || errE != nil {
+			t.Fatalf("run %d: %v, %v", run, errL, errE)
+		}
+		if math.Float64bits(rl.Value) != math.Float64bits(re.Value) {
+			t.Fatalf("run %d: lazy radius %.17g, presized %.17g", run, rl.Value, re.Value)
+		}
+		same("after a search")
+	}
+	st := lazy.CacheStats()
+	if st.Evictions == 0 || st.Hits == 0 {
+		t.Fatalf("searches never rotated a generation or hit: %+v", st)
+	}
+	if st.Entries != int(st.Stores)-int(st.Evictions) {
+		t.Fatalf("entry bookkeeping inconsistent: %+v", st)
 	}
 }

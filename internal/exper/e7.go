@@ -34,6 +34,9 @@ func RunE7(cfg Config) (*Result, error) {
 	const tau = 1.3
 	instances := cfg.size(30, 5)
 
+	// reg names the heuristics; each instance runs its own lineup below, so
+	// the random heuristic draws from a per-instance stream instead of one
+	// stream shared (and raced on) by the parallel instances.
 	reg := sched.Registry(tau, stats.Named(cfg.Seed, "e7-random-heuristic"))
 	type agg struct {
 		ms, rhoOwn, rhoCommon []float64
@@ -65,7 +68,8 @@ func RunE7(cfg Config) (*Result, error) {
 			return
 		}
 		commonBound := tau * mmSys.OrigMakespan()
-		for hi, h := range reg {
+		lineup := sched.Registry(tau, stats.Named(cfg.Seed, fmt.Sprintf("e7-random-heuristic-%d", inst)))
+		for hi, h := range lineup {
 			alloc, err := h.Fn(m)
 			if err != nil {
 				errs[inst] = err

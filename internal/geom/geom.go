@@ -84,7 +84,9 @@ func (e AxisEllipsoid) Eval(x vec.V) float64 {
 //
 // The multiplier equation is monotone on the relevant interval, so a
 // bracketed Brent solve is exact to tolerance. Points at the center (where
-// every direction is equidistant) take the cheapest axis.
+// every direction is equidistant) take the cheapest axis; inside points
+// level with the center on the largest-curvature axis have no root above
+// the multiplier's pole and are solved there (nearestAtPole).
 func (e AxisEllipsoid) Nearest(x0 vec.V) (vec.V, float64, error) {
 	n := len(e.A)
 	if len(x0) != n || len(e.C) != n {
@@ -140,10 +142,14 @@ func (e AxisEllipsoid) Nearest(x0 vec.V) (vec.V, float64, error) {
 		floor := -1/maxA + 1e-15
 		lo = -1 / (2 * maxA)
 		for phi(lo) < 0 {
-			lo = (lo + floor) / 2
-			if lo <= floor+1e-18 {
-				return nil, 0, fmt.Errorf("%w: multiplier search hit pole", ErrDegenerate)
+			next := (lo + floor) / 2
+			if next >= lo || next <= floor+1e-18 {
+				// φ is still negative at the pole (or as near it as floats
+				// resolve), so no multiplier above it meets the level.
+				pt := e.nearestAtPole(d, maxA)
+				return pt, pt.Dist2(x0), nil
 			}
+			lo = next
 		}
 		hi = 0
 	}
@@ -156,6 +162,46 @@ func (e AxisEllipsoid) Nearest(x0 vec.V) (vec.V, float64, error) {
 		pt[i] = e.C[i] + d[i]/(1+lambda*e.A[i])
 	}
 	return pt, pt.Dist2(x0), nil
+}
+
+// nearestAtPole solves the inside case with the multiplier at its pole
+// λ = −1/max aᵢ, the trust-region "hard case". It arises when d = x0 − C is
+// zero (or too small to register) on every largest-curvature element: φ
+// then stays negative all the way to the pole, and the level is met by
+// moving along those elements instead. Every other element takes its KKT
+// value dᵢ/(1 − aᵢ/max a); the largest-curvature elements share the
+// remaining level, in proportion to dᵢ when any is nonzero, and on the
+// first of them otherwise.
+func (e AxisEllipsoid) nearestAtPole(d vec.V, maxA float64) vec.V {
+	y := make(vec.V, len(d))
+	rest := e.R
+	first, poleNorm2 := -1, 0.0
+	for i, a := range e.A {
+		if a == maxA {
+			if first < 0 {
+				first = i
+			}
+			poleNorm2 += d[i] * d[i]
+			continue
+		}
+		y[i] = d[i] / (1 - a/maxA)
+		rest -= a * y[i] * y[i]
+	}
+	rest = math.Max(rest, 0)
+	if poleNorm2 == 0 {
+		y[first] = math.Sqrt(rest / maxA)
+	} else {
+		s := math.Sqrt(rest / (maxA * poleNorm2))
+		for i, a := range e.A {
+			if a == maxA {
+				y[i] = d[i] * s
+			}
+		}
+	}
+	for i := range y {
+		y[i] += e.C[i]
+	}
+	return y
 }
 
 // LevelSet is the generic numeric boundary {x : F(x) = Level}, solved by

@@ -257,3 +257,49 @@ func TestTraceThenNearestMatchesAnalytic(t *testing.T) {
 		t.Errorf("polyline dist = %v, want √2", d)
 	}
 }
+
+// TestEllipsoidNearestHardCase covers inside points whose offset from the
+// center is zero (or below float resolution) on the largest-curvature
+// elements: the multiplier equation then has no root above its pole, and a
+// bracket search toward the pole ends at a float fixed point. Each case is
+// checked against the numeric level-set search on the same surface.
+func TestEllipsoidNearestHardCase(t *testing.T) {
+	cases := []struct {
+		name  string
+		e     AxisEllipsoid
+		x0    vec.V
+		flips bool // the numeric search may land on the mirror-image point
+	}{
+		{"quadratic feature repro", AxisEllipsoid{A: vec.Of(0.9, 0.1), C: vec.Of(1, 1.2), R: 2}, vec.Of(1, 1), true},
+		{"three dims", AxisEllipsoid{A: vec.Of(2, 1, 0.5), C: vec.New(3), R: 4}, vec.Of(0, 0.3, -0.2), true},
+		{"tied largest curvature", AxisEllipsoid{A: vec.Of(2, 2, 1), C: vec.New(3), R: 3}, vec.Of(0, 0, 0.5), true},
+		{"tied, one offset", AxisEllipsoid{A: vec.Of(2, 2, 1), C: vec.New(3), R: 3}, vec.Of(0, 0.1, 0.5), false},
+		{"offset below resolution", AxisEllipsoid{A: vec.Of(1, 0.5), C: vec.New(2), R: 1}, vec.Of(1e-300, 0.4), true},
+		{"ordinary inside point", AxisEllipsoid{A: vec.Of(1, 0.5), C: vec.New(2), R: 1}, vec.Of(0.3, 0.4), false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			pt, d, err := c.e.Nearest(c.x0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v := c.e.Eval(pt); math.Abs(v) > 1e-9*c.e.R {
+				t.Errorf("point %v is off the surface: Eval = %g", pt, v)
+			}
+			if math.Abs(pt.Dist2(c.x0)-d) > 1e-12*(1+d) {
+				t.Errorf("dist %v disagrees with the point's distance %v", d, pt.Dist2(c.x0))
+			}
+			ref := LevelSet{F: func(x vec.V) float64 { return c.e.Eval(x) + c.e.R }, Level: c.e.R}
+			rpt, rd, err := ref.Nearest(c.x0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Abs(d-rd) > 1e-6*(1+rd) {
+				t.Errorf("dist %v, numeric reference %v", d, rd)
+			}
+			if !c.flips && !pt.EqualApprox(rpt, 1e-4) {
+				t.Errorf("point %v, numeric reference %v", pt, rpt)
+			}
+		})
+	}
+}

@@ -131,11 +131,22 @@ type SearchStatz struct {
 // the worker server and the cluster coordinator (both expose it in /statz).
 // At capacity the oldest row is evicted; an in-flight search's row is
 // updated in place on every progress callback.
+//
+// Rows outlive the request that wrote them, so the tracker keeps them in
+// storage of its own: a ring of row values and one flat slab for their best
+// allocations. Rows held through per-request pointers and slices would
+// each sit in a different page of that request's garbage and keep the page
+// in use after a collection.
 type SearchTracker struct {
-	mu    sync.Mutex
-	cap   int
-	order []string
-	rows  map[string]*SearchStatz
+	mu   sync.Mutex
+	cap  int
+	rows []SearchStatz // ring of cap rows, allocated on first Update
+	head int           // slot of the oldest row
+	n    int           // rows held
+	// best holds slot i's BestAlloc at best[i*stride:]; stride is the
+	// longest BestAlloc seen.
+	best   []int
+	stride int
 }
 
 // NewSearchTracker returns a tracker bounded to capacity rows (minimum 1).
@@ -143,30 +154,65 @@ func NewSearchTracker(capacity int) *SearchTracker {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &SearchTracker{cap: capacity, rows: make(map[string]*SearchStatz)}
+	return &SearchTracker{cap: capacity}
 }
 
 // Update upserts a row by ID.
 func (t *SearchTracker) Update(row SearchStatz) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if _, ok := t.rows[row.ID]; !ok {
-		if len(t.order) >= t.cap {
-			delete(t.rows, t.order[0])
-			t.order = t.order[1:]
-		}
-		t.order = append(t.order, row.ID)
+	if t.rows == nil {
+		t.rows = make([]SearchStatz, t.cap)
 	}
-	t.rows[row.ID] = &row
+	slot := -1
+	for k := 0; k < t.n; k++ {
+		if i := (t.head + k) % t.cap; t.rows[i].ID == row.ID {
+			slot = i
+			break
+		}
+	}
+	if slot < 0 {
+		if t.n == t.cap {
+			slot = t.head
+			t.head = (t.head + 1) % t.cap
+		} else {
+			slot = (t.head + t.n) % t.cap
+			t.n++
+		}
+	}
+	if len(row.BestAlloc) > t.stride {
+		t.restride(len(row.BestAlloc))
+	}
+	if row.BestAlloc != nil {
+		off := slot * t.stride
+		row.BestAlloc = t.best[off : off+copy(t.best[off:off+t.stride], row.BestAlloc)]
+	}
+	t.rows[slot] = row
 }
 
-// Snapshot returns the rows, oldest first.
+// restride widens the best-allocation slab to stride entries per slot,
+// moving every held row's allocation.
+func (t *SearchTracker) restride(stride int) {
+	best := make([]int, t.cap*stride)
+	for i := range t.rows {
+		if a := t.rows[i].BestAlloc; a != nil {
+			t.rows[i].BestAlloc = best[i*stride : i*stride+copy(best[i*stride:], a)]
+		}
+	}
+	t.best, t.stride = best, stride
+}
+
+// Snapshot returns the rows, oldest first. The rows own their BestAlloc.
 func (t *SearchTracker) Snapshot() []SearchStatz {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]SearchStatz, 0, len(t.order))
-	for _, id := range t.order {
-		out = append(out, *t.rows[id])
+	out := make([]SearchStatz, 0, t.n)
+	for k := 0; k < t.n; k++ {
+		row := t.rows[(t.head+k)%t.cap]
+		if row.BestAlloc != nil {
+			row.BestAlloc = append([]int{}, row.BestAlloc...)
+		}
+		out = append(out, row)
 	}
 	return out
 }

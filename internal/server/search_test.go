@@ -182,3 +182,63 @@ func slicesEqual(a, b []int) bool {
 	}
 	return true
 }
+
+// The tracker keeps rows in its own storage: updates copy the caller's
+// best allocation, snapshots hand out copies, insertion order and
+// oldest-first eviction hold, and a longer allocation widens the slab
+// without disturbing the rows already held.
+func TestSearchTrackerRows(t *testing.T) {
+	tr := NewSearchTracker(3)
+	best := []int{1, 2}
+	tr.Update(SearchStatz{ID: "a", State: "running", BestAlloc: best})
+	tr.Update(SearchStatz{ID: "b", State: "running"})
+	best[0] = 99 // the caller may reuse its slice
+	tr.Update(SearchStatz{ID: "a", State: "done", BestAlloc: []int{3, 4}})
+	tr.Update(SearchStatz{ID: "c", State: "running", BestAlloc: []int{5, 6, 7, 8}})
+	tr.Update(SearchStatz{ID: "d", State: "failed", BestAlloc: []int{9}})
+
+	rows := tr.Snapshot()
+	want := []struct {
+		id, state string
+		best      []int
+	}{{"b", "running", nil}, {"c", "running", []int{5, 6, 7, 8}}, {"d", "failed", []int{9}}}
+	if len(rows) != len(want) {
+		t.Fatalf("rows %+v, want ids b, c, d", rows)
+	}
+	for i, w := range want {
+		r := rows[i]
+		if r.ID != w.id || r.State != w.state || len(r.BestAlloc) != len(w.best) {
+			t.Fatalf("row %d = %+v, want %s %s %v", i, r, w.id, w.state, w.best)
+		}
+		for j := range w.best {
+			if r.BestAlloc[j] != w.best[j] {
+				t.Fatalf("row %d bestAlloc %v, want %v", i, r.BestAlloc, w.best)
+			}
+		}
+	}
+	if rows[0].BestAlloc != nil {
+		t.Fatalf("row without an allocation reports %v", rows[0].BestAlloc)
+	}
+	rows[1].BestAlloc[0] = -1 // a snapshot must not alias the tracker
+	if again := tr.Snapshot(); again[1].BestAlloc[0] != 5 {
+		t.Fatalf("snapshot aliases tracker storage: %v", again[1].BestAlloc)
+	}
+}
+
+// Once its storage is sized, the tracker records progress without
+// allocating: rows written on behalf of a request must not be separate
+// objects that outlive it.
+func TestSearchTrackerUpdateDoesNotAllocate(t *testing.T) {
+	tr := NewSearchTracker(4)
+	best := make([]int, 16)
+	ids := []string{"s0", "s1", "s2", "s3", "s4", "s5"}
+	tr.Update(SearchStatz{ID: ids[0], BestAlloc: best})
+	i := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		i++
+		tr.Update(SearchStatz{ID: ids[i%len(ids)], State: "running", BestAlloc: best})
+	})
+	if allocs != 0 {
+		t.Fatalf("Update allocates %v times per call, want 0", allocs)
+	}
+}

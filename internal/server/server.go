@@ -73,7 +73,10 @@ type Config struct {
 	// bisection round (default 256; tests shrink it).
 	DegradeSamples int
 	// CacheCap enables the per-analysis impact cache: >0 sets the entry
-	// capacity, 0 uses the engine default, <0 disables caching.
+	// capacity, 0 uses the engine default, <0 disables caching. The cache
+	// allocates per entry only as the numeric tier stores into it, so on a
+	// request whose features are all closed-form (linear or quadratic) it
+	// costs nothing beyond its shard array.
 	CacheCap int
 	// CacheShards overrides the impact cache's shard count (rounded up to a
 	// power of two by the engine). 0 lets the engine derive it from
