@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"math/bits"
+	"math/rand/v2"
 	"runtime"
 	"sync"
 	"testing"
@@ -44,13 +46,11 @@ func prodAnalysis(t testing.TB, n int, bound float64) *Analysis {
 // and the seventh pair drops the first.
 func TestImpactCacheGenerationalEviction(t *testing.T) {
 	c := newImpactCache(CacheOptions{Capacity: 6, Shards: 1})
-	key := func(i int) []byte {
-		return binary.LittleEndian.AppendUint64(nil, uint64(i))
-	}
+	key := func(i int) *cacheKey { return new(cacheKey).setWords(uint64(i)) }
 	for i := 0; i < 6; i++ {
 		c.put(key(i), float64(i))
 	}
-	st := c.statsLocked()
+	st := c.totals()
 	// Three rotations: {0,1}→g1, then →g2, then dropped when {4,5} froze.
 	if st.Entries != 4 || st.Evictions != 2 || st.Stores != 6 {
 		t.Fatalf("after 6 puts into cap-6 single-shard cache: %+v", st)
@@ -73,7 +73,7 @@ func TestImpactCacheGenerationalEviction(t *testing.T) {
 	for i := 10; i < 110; i++ {
 		c.put(key(i), float64(i))
 	}
-	st = c.statsLocked()
+	st = c.totals()
 	if st.Entries > 6 {
 		t.Fatalf("cache exceeded capacity: %+v", st)
 	}
@@ -84,11 +84,11 @@ func TestImpactCacheGenerationalEviction(t *testing.T) {
 
 func TestImpactCacheNeverStoresNonFinite(t *testing.T) {
 	c := newImpactCache(CacheOptions{Capacity: 8, Shards: 1})
-	key := []byte("k")
+	key := new(cacheKey).setWords('k')
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		c.put(key, v)
 	}
-	st := c.statsLocked()
+	st := c.totals()
 	if st.Stores != 0 || st.Entries != 0 {
 		t.Fatalf("non-finite values were stored: %+v", st)
 	}
@@ -450,35 +450,32 @@ func TestCachedNumericAgreesOnRandomizedImpacts(t *testing.T) {
 func TestShardedCacheRaceHammer(t *testing.T) {
 	c := newImpactCache(CacheOptions{Capacity: 384, Shards: 4})
 	const keys = 200
-	key := func(i int) []byte {
-		return binary.LittleEndian.AppendUint64(nil, uint64(i)*2654435761)
-	}
 	val := func(i int) float64 { return float64(i)*1.5 + 0.25 }
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			buf := make([]byte, 0, 8)
+			var k cacheKey
 			for op := 0; op < 4000; op++ {
 				i := (op*7 + g*13) % keys
-				buf = append(buf[:0], key(i)...)
-				if v, ok := c.get(buf); ok {
+				k.setWords(uint64(i) * 2654435761)
+				if v, ok := c.get(&k); ok {
 					if v != val(i) {
 						panic("cache hit returned a foreign value")
 					}
 				} else {
-					c.put(buf, val(i))
+					c.put(&k, val(i))
 				}
 				if op%512 == 0 {
-					c.statsLocked()
+					c.totals()
 					c.shardStats()
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	st := c.statsLocked()
+	st := c.totals()
 	if st.Hits+st.Misses != 8*4000 {
 		t.Fatalf("lookup counters lost updates: %+v", st)
 	}
@@ -499,15 +496,14 @@ func TestShardedCacheEvictionUnderConcurrentWriters(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			buf := make([]byte, 0, 8)
+			var k cacheKey
 			for i := 0; i < 3000; i++ {
-				buf = binary.LittleEndian.AppendUint64(buf[:0], uint64(g*100000+i))
-				c.put(buf, float64(i))
+				c.put(k.setWords(uint64(g*100000+i)), float64(i))
 			}
 		}(g)
 	}
 	wg.Wait()
-	st := c.statsLocked()
+	st := c.totals()
 	if st.Evictions == 0 {
 		t.Fatalf("no evictions under write pressure: %+v", st)
 	}
@@ -604,33 +600,44 @@ func TestEnableImpactCacheCostIndependentOfCapacity(t *testing.T) {
 	}
 }
 
-// presize gives every shard a hot map of genCap entries up front: the
-// eager reference the lazy cache must match.
-func presize(c *impactCache) {
+// setWords loads raw key words into k and hashes them (test support: the
+// engine builds keys with set).
+func (k *cacheKey) setWords(ws ...uint64) *cacheKey {
+	k.words = append(k.words[:0], ws...)
+	k.hash = hashWords(k.words)
+	k.hintIdx = nil
+	return k
+}
+
+// presize gives every shard a hot table indexed for genCap entries of the
+// given stride up front: the eager reference the lazy cache must match.
+func presize(c *impactCache, stride int) {
 	for i := range c.shards {
-		c.shards[i].hot = make(map[string]float64, c.genCap)
+		c.shards[i].hot.Store(newGenTable(stride, c.genCap, c.genCap))
 	}
 }
 
-// The lazy hot map changes no observable behaviour: a lookup before the
-// first store creates nothing, the first store creates the shard's map, and
-// through many rotations the lazy cache reports the same aggregate and
-// per-shard counters, and the same radii bit for bit, as a presized one.
+// The lazy hot table changes no observable behaviour: a lookup before the
+// first store creates nothing, the first store creates the shard's table,
+// and through many rotations the lazy cache reports the same aggregate and
+// per-shard counters, and the same radii bit for bit, as one whose hot
+// tables are presized to genCap.
 func TestLazyHotMapsMatchPresizedCache(t *testing.T) {
 	opt := CacheOptions{Capacity: 96, Shards: 2}
 	lazy, eager := prodAnalysis(t, 3, 4), prodAnalysis(t, 3, 4)
 	lazy.EnableImpactCacheWith(opt)
 	eager.EnableImpactCacheWith(opt)
-	presize(eager.cache)
+	presize(eager.cache, 1+eager.TotalDim()+1)
 
-	key := binary.LittleEndian.AppendUint64(nil, 42)
+	key := newCacheKey(3)
+	key.set(0, vec.Of(42, 1, 1))
 	if _, ok := lazy.cache.get(key); ok {
 		t.Fatal("empty cache hit")
 	}
 	eager.cache.get(key)
 	for i := range lazy.cache.shards {
-		if lazy.cache.shards[i].hot != nil {
-			t.Fatalf("shard %d has a hot map before its first store", i)
+		if lazy.cache.shards[i].hot.Load() != nil {
+			t.Fatalf("shard %d has a hot table before its first store", i)
 		}
 	}
 	same := func(when string) {
@@ -649,9 +656,9 @@ func TestLazyHotMapsMatchPresizedCache(t *testing.T) {
 
 	lazy.cache.put(key, 1)
 	eager.cache.put(key, 1)
-	s := lazy.cache.shardOf(key)
-	if s.hot == nil || len(s.hot) != 1 {
-		t.Fatalf("first store left the shard's hot map %v", s.hot)
+	s := lazy.cache.shardOf(key.hash)
+	if n := s.hot.Load().len(); n != 1 {
+		t.Fatalf("first store left the shard's hot table with %d entries", n)
 	}
 	same("after the first store")
 
@@ -672,5 +679,348 @@ func TestLazyHotMapsMatchPresizedCache(t *testing.T) {
 	}
 	if st.Entries != int(st.Stores)-int(st.Evictions) {
 		t.Fatalf("entry bookkeeping inconsistent: %+v", st)
+	}
+}
+
+// refCache is the string-keyed generation store the flat tables replaced,
+// kept as the reference model of the differential tests: per shard a hot
+// map in front of two frozen maps, keyed on the bytes of the key words,
+// with the same genCap and rotation rule. It runs on one goroutine, so it
+// needs neither the mutex nor the atomic pointer. It picks shards by the
+// same hash as impactCache, so on sequences whose stores all have one
+// width the two agree lookup for lookup and counter for counter.
+type refCache struct {
+	shards []refShard
+	mask   uint64
+	genCap int
+}
+
+type refShard struct {
+	hot, g1, g2                     map[string]float64
+	hits, misses, stores, evictions uint64
+}
+
+func newRefCache(c *impactCache) *refCache {
+	return &refCache{shards: make([]refShard, len(c.shards)), mask: c.mask, genCap: c.genCap}
+}
+
+func refKey(ws []uint64) string {
+	b := make([]byte, 0, 8*len(ws))
+	for _, w := range ws {
+		b = binary.LittleEndian.AppendUint64(b, w)
+	}
+	return string(b)
+}
+
+func (r *refCache) shard(k *cacheKey) *refShard {
+	return &r.shards[k.hash>>56&r.mask]
+}
+
+func (r *refCache) get(k *cacheKey) (float64, bool) {
+	s, key := r.shard(k), refKey(k.words)
+	for _, m := range []map[string]float64{s.g1, s.g2, s.hot} {
+		if v, ok := m[key]; ok {
+			s.hits++
+			return v, true
+		}
+	}
+	s.misses++
+	return 0, false
+}
+
+func (r *refCache) put(k *cacheKey, v float64) {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return
+	}
+	s, key := r.shard(k), refKey(k.words)
+	if s.hot == nil {
+		s.hot = make(map[string]float64)
+	}
+	if _, ok := s.hot[key]; ok {
+		s.hot[key] = v
+		return
+	}
+	s.hot[key] = v
+	s.stores++
+	if len(s.hot) >= r.genCap {
+		s.evictions += uint64(len(s.g2))
+		s.g1, s.g2, s.hot = s.hot, s.g1, nil
+	}
+}
+
+func (s *refShard) stats() CacheShardStats {
+	return CacheShardStats{
+		Hits: s.hits, Misses: s.misses, Stores: s.stores, Evictions: s.evictions,
+		Entries: len(s.hot) + len(s.g1) + len(s.g2),
+	}
+}
+
+// cacheOpCoords are the coordinates the differential runs draw keys from:
+// both zeros, two values within one quantum of each other, one just beyond
+// it, a masked-away subnormal of each sign, NaN and both infinities.
+var cacheOpCoords = []float64{
+	0, math.Copysign(0, -1), 1, 1 + 1e-14, 1 + 1e-9, -1,
+	math.Float64frombits(0x7FF), -math.Float64frombits(0x7FF), 2.5, 1e300,
+	math.NaN(), math.Inf(1), math.Inf(-1),
+}
+
+// runCacheOps drives an impactCache and the reference model with the op
+// stream in data. Each op looks up one to three keys in turn and then
+// stores the misses in reverse order, as a k-probe block does (so a miss
+// hint can go stale before its put), or re-stores a key without looking it
+// up first. Values are fresh per store, and one in eight is NaN or ±Inf.
+// Every hit must return a value stored under the equal quantized key; a key
+// one word shorter or longer than a looked-up key must miss unless it was
+// stored itself; Entries must equal Stores − Evictions and stay within
+// three generations per shard. With width > 0 every key has that many
+// words, and the two models must then agree on every lookup and on every
+// shard's counters; with width 0 widths vary per op. collide keeps only the
+// shard byte and the low three bits of every hash, so that unequal keys —
+// of one width or of two — share tags and probe chains all the time.
+func runCacheOps(t testing.TB, opt CacheOptions, width int, collide bool, data []byte) {
+	c := newImpactCache(opt)
+	ref := newRefCache(c)
+	stored := map[string]map[uint64]bool{}
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return b
+	}
+	seq := 0.0
+	value := func() float64 {
+		switch b := next(); b % 8 {
+		case 0:
+			return math.NaN()
+		case 1:
+			return math.Inf(1)
+		case 2:
+			return math.Inf(-1)
+		default:
+			seq++
+			return seq + float64(b)/256
+		}
+	}
+	put := func(k *cacheKey, v float64) {
+		c.put(k, v)
+		ref.put(k, v)
+		if !math.IsNaN(v) && !math.IsInf(v, 0) {
+			s := refKey(k.words)
+			if stored[s] == nil {
+				stored[s] = map[uint64]bool{}
+			}
+			stored[s][math.Float64bits(v)] = true
+		}
+	}
+	var gets uint64
+	get := func(k *cacheKey) bool {
+		gets++
+		v, ok := c.get(k)
+		rv, rok := ref.get(k)
+		if ok && !stored[refKey(k.words)][math.Float64bits(v)] {
+			t.Fatalf("hit on %x returned %v, never stored under that key", k.words, v)
+		}
+		if width > 0 && (ok != rok || math.Float64bits(v) != math.Float64bits(rv)) {
+			t.Fatalf("lookup of %x: cache (%v, %v), reference (%v, %v)", k.words, v, ok, rv, rok)
+		}
+		return ok
+	}
+	var keys [3]cacheKey
+	var probe cacheKey
+	setWords := func(k *cacheKey, ws []uint64) {
+		k.setWords(ws...)
+		if collide {
+			k.hash &= 0xFF<<56 | 7
+		}
+	}
+	buf := make([]uint64, 0, 8)
+	for len(data) > 0 {
+		op := next()
+		n := 1 + int(op%4)
+		if n == 4 { // re-store without a lookup
+			n = 1
+		}
+		for i := 0; i < n; i++ {
+			w := width
+			if w == 0 {
+				w = 1 + int(next()%4)
+			}
+			buf = append(buf[:0], uint64(next()%3))
+			for len(buf) < w {
+				buf = append(buf, quantize(cacheOpCoords[int(next())%len(cacheOpCoords)]))
+			}
+			setWords(&keys[i], buf)
+		}
+		if op%4 == 3 {
+			put(&keys[0], value())
+		} else {
+			var hit [3]bool
+			for i := 0; i < n; i++ {
+				hit[i] = get(&keys[i])
+				// Keys one word shorter and one word longer.
+				ws := keys[i].words
+				for _, pw := range [][]uint64{ws[:len(ws)-1], append(ws[:len(ws):len(ws)], 0)} {
+					if len(pw) == 0 {
+						continue
+					}
+					setWords(&probe, pw)
+					if get(&probe) && stored[refKey(pw)] == nil {
+						t.Fatalf("key %x matched an entry of another width", pw)
+					}
+				}
+			}
+			for i := n - 1; i >= 0; i-- {
+				if !hit[i] {
+					put(&keys[i], value())
+				}
+			}
+		}
+
+		st := c.totals()
+		if st.Hits+st.Misses != gets {
+			t.Fatalf("%d lookups, counters %+v", gets, st)
+		}
+		if st.Entries != int(st.Stores)-int(st.Evictions) {
+			t.Fatalf("entry bookkeeping inconsistent: %+v", st)
+		}
+		for i := range c.shards {
+			sh := c.shards[i].stats()
+			if sh.Entries > 3*c.genCap {
+				t.Fatalf("shard %d holds %d entries, more than 3×%d", i, sh.Entries, c.genCap)
+			}
+			if width > 0 && sh != ref.shards[i].stats() {
+				t.Fatalf("shard %d: cache %+v, reference %+v", i, sh, ref.shards[i].stats())
+			}
+		}
+	}
+}
+
+// TestImpactCacheMatchesReferenceModel is the differential test of the flat
+// generation tables against the string-keyed store they replaced: random op
+// streams over small caches (so generations rotate constantly), half with
+// one key width per run and half with widths varying per op, and a third of
+// them with hashes cut down to collide.
+func TestImpactCacheMatchesReferenceModel(t *testing.T) {
+	rng := rand.New(rand.NewPCG(14, 1))
+	for run := 0; run < 120; run++ {
+		opt := CacheOptions{Capacity: []int{3, 6, 12, 48, 200}[run%5], Shards: []int{1, 2, 4}[run%3]}
+		width := 0
+		if run%2 == 0 {
+			width = 2 + run/2%4
+		}
+		// Mostly small bytes, so that keys repeat and lookups hit.
+		data := make([]byte, 3000)
+		for i := range data {
+			if rng.IntN(5) == 0 {
+				data[i] = byte(rng.Uint32())
+			} else {
+				data[i] = byte(rng.IntN(8))
+			}
+		}
+		runCacheOps(t, opt, width, run%3 == 1, data)
+	}
+}
+
+// FuzzImpactCache runs the differential check of
+// TestImpactCacheMatchesReferenceModel on fuzzed op streams. cfg picks the
+// capacity (1–16), whether hashes collide, the shard count (1–8) and
+// whether widths are fixed.
+func FuzzImpactCache(f *testing.F) {
+	f.Add(byte(5), []byte{0, 1, 2, 3, 4, 5, 6, 7, 0, 1, 2, 3, 0, 0, 0, 1, 1, 1, 2, 2, 2})
+	f.Add(byte(0x85), []byte{1, 0, 0, 2, 3, 1, 2, 0, 4, 0, 5, 9, 3, 0, 1, 1})
+	f.Add(byte(0x50), []byte("\x02\x00\x01\x03\x00\x0a\x0b\x0c\x02\x00\x01\x03\x00\x0a\x0b\x0c"))
+	f.Fuzz(func(t *testing.T, cfg byte, data []byte) {
+		opt := CacheOptions{Capacity: 1 + int(cfg%16), Shards: 1 << (cfg >> 5 & 3)}
+		width := 0
+		if cfg&0x80 != 0 {
+			width = 2 + len(data)%4
+		}
+		runCacheOps(t, opt, width, cfg&0x10 != 0, data)
+	})
+}
+
+// CacheStats sums the shard counters in place: served requests read it on
+// every response, so it must not allocate.
+func TestCacheStatsAllocatesNothing(t *testing.T) {
+	a := prodAnalysis(t, 3, 4)
+	a.EnableImpactCacheWith(CacheOptions{Shards: 64})
+	if _, err := a.CombinedRadius(0, Normalized{}); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = a.CacheStats() }); n != 0 {
+		t.Fatalf("CacheStats allocates %v times per call, want 0", n)
+	}
+}
+
+// Distinct stores into one shard below genCap allocate O(log N) times —
+// entry chunks of doubling size and index doublings — never once per entry.
+func TestImpactCacheStoresAllocateLogarithmically(t *testing.T) {
+	k := newCacheKey(3)
+	x := vec.Of(0, 2, 3)
+	for _, n := range []int{256, 4096} {
+		allocs := testing.AllocsPerRun(3, func() {
+			c := newImpactCache(CacheOptions{Capacity: 3 * (n + 1), Shards: 1})
+			for i := 0; i < n; i++ {
+				x[0] = float64(i)
+				k.set(0, x)
+				c.put(k, 1)
+			}
+			if st := c.totals(); st.Stores != uint64(n) || st.Evictions != 0 {
+				t.Fatalf("%d stores below genCap: %+v", n, st)
+			}
+		})
+		t.Logf("%d stores: %v allocations", n, allocs)
+		if limit := 3 * bits.Len(uint(n)); allocs > float64(limit) {
+			t.Errorf("%d stores allocate %v times, want at most %d", n, allocs, limit)
+		}
+	}
+}
+
+// BenchmarkImpactCacheLookup measures one evaluation's cache traffic on an
+// 8-dimensional key: a miss followed by its store, and a hit in the hot
+// table (under the shard mutex) or in a frozen generation (lock-free).
+func BenchmarkImpactCacheLookup(b *testing.B) {
+	const dim = 8
+	x := make(vec.V, dim)
+	for j := range x {
+		x[j] = 1 + float64(j)/3
+	}
+	k := newCacheKey(dim)
+	b.Run("miss+put", func(b *testing.B) {
+		c := newImpactCache(CacheOptions{Capacity: 4096, Shards: 8})
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			x[0] = float64(i)
+			k.set(0, x)
+			if _, ok := c.get(k); !ok {
+				c.put(k, x[0])
+			}
+		}
+	})
+	// 256 keys in one shard: a genCap of 256 freezes them all into g1, a
+	// larger one keeps them hot.
+	for _, bc := range []struct {
+		name     string
+		capacity int
+	}{{"hit-frozen", 3 * 256}, {"hit-hot", 3 * 1024}} {
+		b.Run(bc.name, func(b *testing.B) {
+			c := newImpactCache(CacheOptions{Capacity: bc.capacity, Shards: 1})
+			for i := 0; i < 256; i++ {
+				x[0] = float64(i)
+				k.set(0, x)
+				c.put(k, x[0])
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				x[0] = float64(i & 255)
+				k.set(0, x)
+				if _, ok := c.get(k); !ok {
+					b.Fatal("miss on a stored key")
+				}
+			}
+		})
 	}
 }

@@ -141,21 +141,21 @@ func (a *Analysis) combinedNumericSide(ctx context.Context, i int, d, pOrig vec.
 	defer vec.PutScratch(native)
 	vals := vec.Views(nil, native, a.Dims()...)
 	cache := a.cache
-	var keyBuf []byte
+	var key *cacheKey
 	if cache != nil {
-		keyBuf = make([]byte, 0, 4+8*len(d))
+		key = newCacheKey(len(d))
 	}
 	inP := func(x []float64) float64 {
 		vec.DivInto(native, vec.V(x), d)
 		if cache != nil {
-			keyBuf = appendKey(keyBuf, i, native)
-			if v, ok := cache.get(keyBuf); ok {
+			key.set(i, native)
+			if v, ok := cache.get(key); ok {
 				return v
 			}
 		}
 		v := impact(vals)
 		if cache != nil {
-			cache.put(keyBuf, v) // refuses NaN/Inf: faults are never cached
+			cache.put(key, v) // refuses NaN/Inf: faults are never cached
 		}
 		return v
 	}

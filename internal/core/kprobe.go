@@ -31,7 +31,7 @@ func (a *Analysis) impactFK(g *guard, i int, d vec.V, blockOff int, template vec
 		back     []float64
 		rows     []vec.V
 		kout     []float64
-		keys     [][]byte
+		keys     []cacheKey
 		miss     []int
 		missRows []vec.V
 	)
@@ -47,10 +47,11 @@ func (a *Analysis) impactFK(g *guard, i int, d vec.V, blockOff int, template vec
 				}
 			}
 			kout = make([]float64, k)
-			keys = make([][]byte, k)
 			if cache != nil {
+				keys = make([]cacheKey, k)
+				words := make([]uint64, k*(n+1))
 				for p := range keys {
-					keys[p] = make([]byte, 0, 4+8*n)
+					keys[p].words = words[p*(n+1) : p*(n+1) : (p+1)*(n+1)]
 				}
 			}
 		}
@@ -63,8 +64,8 @@ func (a *Analysis) impactFK(g *guard, i int, d vec.V, blockOff int, template vec
 				copy(nat[blockOff:blockOff+len(xs[p])], xs[p])
 			}
 			if cache != nil {
-				keys[p] = appendKey(keys[p], i, nat)
-				if v, ok := cache.get(keys[p]); ok {
+				keys[p].set(i, nat)
+				if v, ok := cache.get(&keys[p]); ok {
 					out[p] = v
 					continue
 				}
@@ -80,7 +81,7 @@ func (a *Analysis) impactFK(g *guard, i int, d vec.V, blockOff int, template vec
 		for q, p := range miss {
 			out[p] = ko[q]
 			if cache != nil {
-				cache.put(keys[p], ko[q]) // refuses NaN/Inf: faults are never cached
+				cache.put(&keys[p], ko[q]) // refuses NaN/Inf: faults are never cached
 			}
 		}
 	}

@@ -179,21 +179,21 @@ func (a *Analysis) radiusSingleNumeric(ctx context.Context, i, j int, eo EvalOpt
 	vals := vec.Views(nil, native, a.Dims()...)
 	blk := vals[j]
 	cache := a.cache
-	var keyBuf []byte
+	var key *cacheKey
 	if cache != nil {
-		keyBuf = make([]byte, 0, 4+8*len(native))
+		key = newCacheKey(len(native))
 	}
 	restrict := func(x []float64) float64 {
 		copy(blk, x)
 		if cache != nil {
-			keyBuf = appendKey(keyBuf, i, native)
-			if v, ok := cache.get(keyBuf); ok {
+			key.set(i, native)
+			if v, ok := cache.get(key); ok {
 				return v
 			}
 		}
 		v := impact(vals)
 		if cache != nil {
-			cache.put(keyBuf, v) // refuses NaN/Inf: faults are never cached
+			cache.put(key, v) // refuses NaN/Inf: faults are never cached
 		}
 		return v
 	}

@@ -111,9 +111,9 @@ type WatchEventRec struct {
 // halves of the subsystem — the delta chain (current document + prior
 // radii, bit-exact) and the subscription stream (the rendered journal).
 type WatchPayload struct {
-	ID        string               `json:"id"`
-	Tenant    string               `json:"tenant,omitempty"`
-	Weighting string               `json:"weighting"`
+	ID        string `json:"id"`
+	Tenant    string `json:"tenant,omitempty"`
+	Weighting string `json:"weighting"`
 	// AncestorFP is the fingerprint of the watch's original document; the
 	// warm-start registry for the whole update chain is keyed by it (every
 	// update produces a new fingerprint, but the chain shares one registry).
